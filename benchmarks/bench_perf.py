@@ -30,8 +30,8 @@ time.  It records:
 each invocation appends a run entry instead of overwriting, so the perf
 trajectory is tracked in-repo.  ``--compare <old.json>`` compares the end-to-
 end results of this run against the latest entry of another report and exits
-nonzero on a >20% steps-per-second regression (used by CI against the
-committed file).
+nonzero on a >20% steps-per-second regression (CI runs it against the
+committed file as an informational step).
 
 Every run also asserts **parity**: the batch path must produce bit-identical
 results to the per-key path, and the engine fast paths must leave simulated
@@ -453,15 +453,12 @@ def bench_kernel(num_yields, repeats):
 
 
 # ------------------------------------------------------------------ end to end
-def bench_end_to_end(smoke, repeats, seed=0, backend="sim", jobs=1):
+def bench_end_to_end(smoke, repeats, seed=0, jobs=1):
     """Wall-clock per epoch for the paper workloads across PS variants.
 
-    ``backend="real"`` runs on actual worker processes instead of the
-    simulator; only matrix factorization on the real-backend systems is
-    measured there (the KGE/W2V tasks and the stale/replica/hybrid policies
-    are simulator-only).  ``jobs`` forks the simulator across that many
-    shard processes (simulated backend only) — results stay bit-identical,
-    so throughput rows remain comparable across job counts.
+    ``jobs`` forks the simulator across that many shard processes — results
+    stay bit-identical, so throughput rows remain comparable across job
+    counts.
     """
     if smoke:
         mf_scale = MFScale(num_rows=64, num_cols=32, num_entries=2000)
@@ -474,21 +471,15 @@ def bench_end_to_end(smoke, repeats, seed=0, backend="sim", jobs=1):
         w2v_scale = W2VScale()
         epochs = 2
     runs = []
-    if backend == "real":
-        mf_systems = ("classic", "classic_fast_local", "lapse")
-        jobs = 1  # the real backend has no simulator to shard
-    else:
-        mf_systems = ("classic", "lapse", "stale_ssp", "replica", "hybrid")
-    for system in mf_systems:
+    for system in ("classic", "lapse", "stale_ssp", "replica", "hybrid"):
         runs.append(("matrix_factorization", system, mf_scale.num_entries, lambda s=system: run_mf_experiment(
-            s, num_nodes=2, workers_per_node=2, scale=mf_scale, epochs=epochs, seed=seed, backend=backend, jobs=jobs)))
-    if backend == "sim":
-        for system in ("classic", "lapse", "replica", "hybrid"):
-            runs.append(("kge_complex", system, kge_scale.num_triples, lambda s=system: run_kge_experiment(
-                s, num_nodes=2, workers_per_node=2, scale=kge_scale, epochs=epochs, seed=seed, jobs=jobs)))
-        for system in ("classic", "lapse", "stale_ssp", "replica", "hybrid"):
-            runs.append(("word2vec", system, w2v_scale.num_sentences, lambda s=system: run_w2v_experiment(
-                s, num_nodes=2, workers_per_node=2, scale=w2v_scale, epochs=epochs, seed=seed, jobs=jobs)))
+            s, num_nodes=2, workers_per_node=2, scale=mf_scale, epochs=epochs, seed=seed, jobs=jobs)))
+    for system in ("classic", "lapse", "replica", "hybrid"):
+        runs.append(("kge_complex", system, kge_scale.num_triples, lambda s=system: run_kge_experiment(
+            s, num_nodes=2, workers_per_node=2, scale=kge_scale, epochs=epochs, seed=seed, jobs=jobs)))
+    for system in ("classic", "lapse", "stale_ssp", "replica", "hybrid"):
+        runs.append(("word2vec", system, w2v_scale.num_sentences, lambda s=system: run_w2v_experiment(
+            s, num_nodes=2, workers_per_node=2, scale=w2v_scale, epochs=epochs, seed=seed, jobs=jobs)))
     results = []
     for task, system, steps_per_epoch, fn in runs:
         seconds, result = _best_of(fn, repeats)
@@ -496,7 +487,6 @@ def bench_end_to_end(smoke, repeats, seed=0, backend="sim", jobs=1):
             {
                 "task": task,
                 "system": system,
-                "backend": backend,
                 "jobs": jobs,
                 "num_nodes": 2,
                 "workers_per_node": 2,
@@ -514,72 +504,6 @@ def bench_end_to_end(smoke, repeats, seed=0, backend="sim", jobs=1):
             f"sim epoch {result.epoch_duration * 1e3:7.3f} ms"
         )
     return results
-
-
-# ------------------------------------------------------- real-backend scaling
-#: Wall-clock speedup 1 -> 4 worker processes asserted for the real backend.
-REAL_SCALING_FLOOR = 2.0
-
-#: Host cores needed before the scaling assertion is meaningful.
-REAL_SCALING_MIN_CORES = 4
-
-
-def bench_real_backend(smoke, seed=0):
-    """Wall-clock scaling of the real (multiprocessing) backend, 1 -> 4 nodes.
-
-    Runs MF end-to-end on classic and lapse with 1 and 4 single-worker nodes;
-    per-entry compute is realized as actual busy-wait CPU time, so with >= 4
-    host cores four worker processes must finish the epoch at least
-    ``REAL_SCALING_FLOOR`` times faster than one.  On smaller hosts (or
-    without the fork start method) the section reports itself skipped instead
-    of asserting — the scaling claim needs real parallelism to test.
-    """
-    cores = os.cpu_count() or 1
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return {"skipped": "fork start method unavailable", "cores": cores}
-    if cores < REAL_SCALING_MIN_CORES:
-        return {
-            "skipped": f"needs >= {REAL_SCALING_MIN_CORES} cores, host has {cores}",
-            "cores": cores,
-        }
-    entries = 2000 if smoke else 6000
-    # Compute-heavy relative to messaging, so scaling reflects the cores.
-    scale = MFScale(
-        num_rows=256, num_cols=64, num_entries=entries,
-        rank=8, compute_time_per_entry=300e-6,
-    )
-    report = {"cores": cores, "entries": entries, "floor": REAL_SCALING_FLOOR}
-    for system in ("classic", "lapse"):
-        times = {}
-        for num_nodes in (1, 4):
-            result = run_mf_experiment(
-                system,
-                num_nodes=num_nodes,
-                workers_per_node=1,
-                scale=scale,
-                epochs=1,
-                compute_loss=False,
-                seed=seed,
-                backend="real",
-            )
-            times[num_nodes] = result.epoch_duration
-        speedup = times[1] / times[4]
-        report[system] = {
-            "epoch_1proc_s": times[1],
-            "epoch_4proc_s": times[4],
-            "speedup": speedup,
-        }
-        print(
-            f"  real/{system:<10s} 1 proc {times[1]:6.3f}s -> 4 procs "
-            f"{times[4]:6.3f}s ({speedup:.2f}x)"
-        )
-        _require(
-            speedup >= REAL_SCALING_FLOOR,
-            f"real-backend {system} MF speedup 1->4 processes is "
-            f"{speedup:.2f}x, below the {REAL_SCALING_FLOOR}x floor",
-        )
-    return report
-
 
 
 # ------------------------------------------------------ parallel-engine scaling
@@ -835,14 +759,13 @@ def main(argv=None):
             entry
             for entry in load_report(args.compare)["runs"]
             if entry.get("mode") == mode
-            and entry.get("backend", "sim") == args.backend
             and entry.get("jobs", 1) == args.jobs
         ]
         if candidates:
             compare_baseline = candidates[-1]
         else:
             print(
-                f"note: {args.compare} has no {mode!r}-mode {args.backend!r}-backend "
+                f"note: {args.compare} has no {mode!r}-mode jobs={args.jobs} "
                 "run to compare against; skipping the regression check"
             )
 
@@ -864,12 +787,8 @@ def main(argv=None):
     print("end-to-end workloads ...", flush=True)
     end_to_end = bench_end_to_end(
         args.smoke, repeats=1 if args.smoke else 2, seed=args.seed,
-        backend=args.backend, jobs=args.jobs,
+        jobs=args.jobs,
     )
-    print("real-backend scaling (1 -> 4 worker processes) ...", flush=True)
-    real_backend = bench_real_backend(args.smoke, seed=args.seed)
-    if "skipped" in real_backend:
-        print(f"  skipped: {real_backend['skipped']}")
     print("parallel-engine scaling (1 -> 4 shard processes) ...", flush=True)
     parallel_engine = bench_parallel_engine(args.smoke, seed=args.seed)
     if "skipped" in parallel_engine:
@@ -880,7 +799,6 @@ def main(argv=None):
     run = {
         "schema_run": 2,
         "mode": "smoke" if args.smoke else "full",
-        "backend": args.backend,
         "jobs": args.jobs,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -890,7 +808,6 @@ def main(argv=None):
         "kernel": kernel,
         "engine": engine,
         "end_to_end": end_to_end,
-        "real_backend": real_backend,
         "parallel_engine": parallel_engine,
         "tracing": tracing,
     }

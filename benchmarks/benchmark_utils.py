@@ -36,15 +36,11 @@ def run_once(benchmark, fn):
 def make_arg_parser(description, default_out=None):
     """Shared CLI for the standalone (non-pytest) benchmark scripts.
 
-    Every script gets the same five flags instead of hand-rolling them:
+    Every script gets the same four flags instead of hand-rolling them:
 
     * ``--seed`` — base random seed forwarded to the workload generators,
     * ``--out`` (alias ``--output``) — where to write the JSON report,
     * ``--smoke`` — CI-sized run: small workloads, full correctness checks,
-    * ``--backend`` — execution backend for the end-to-end workloads:
-      ``sim`` (discrete-event simulator, default) or ``real`` (actual worker
-      processes with shared-memory parameter shards; matrix factorization on
-      classic/classic_fast_local/lapse only),
     * ``--jobs`` — shard count for the parallel simulation engine
       (``repro.simnet.parallel``); ``1`` (default) keeps the sequential
       kernel, ``N > 1`` forks the simulated nodes across N processes with
@@ -65,13 +61,6 @@ def make_arg_parser(description, default_out=None):
         "--smoke",
         action="store_true",
         help="CI-sized run: small workloads, fewer repeats, full correctness checks",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("sim", "real"),
-        default="sim",
-        help="execution backend for end-to-end workloads: the discrete-event "
-        "simulator (default) or real worker processes (MF only)",
     )
     parser.add_argument(
         "--jobs",

@@ -31,14 +31,14 @@ DEFAULT_SYSTEMS = ("classic", "classic_fast_local", "lapse", "stale_ssp", "repli
 
 def profile_system(
     system, scale, sort, top, num_nodes=2, workers_per_node=2,
-    seed=0, backend="sim", jobs=1,
+    seed=0, jobs=1,
 ):
     """Profile one MF epoch on ``system`` and print the top-``top`` functions."""
     # Warm-up run outside the profile: import costs and lazily built caches
     # (lanes, dispatch tables, epoch plans) would otherwise dominate.
     kwargs = dict(
         num_nodes=num_nodes, workers_per_node=workers_per_node, scale=scale,
-        epochs=1, seed=seed, backend=backend, jobs=jobs,
+        epochs=1, seed=seed, jobs=jobs,
     )
     start = time.perf_counter()
     run_mf_experiment(system, **kwargs)
@@ -54,7 +54,7 @@ def profile_system(
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     steps = scale.num_entries
     print(f"\n=== {system}: one MF epoch, {steps} entries, "
-          f"backend={backend} jobs={jobs} seed={seed}, "
+          f"jobs={jobs} seed={seed}, "
           f"~{steps / warm_seconds:,.0f} steps/s unprofiled ===")
     # Drop the pstats preamble up to the column header for compact output.
     lines = buffer.getvalue().splitlines()
@@ -63,7 +63,7 @@ def profile_system(
 
 
 def main(argv=None):
-    # Shared benchmark CLI (--seed/--out/--smoke/--backend/--jobs) plus the
+    # Shared benchmark CLI (--seed/--out/--smoke/--jobs) plus the
     # profiler-specific flags; --out and --smoke are accepted but unused here
     # (the profile is a printed report, not a JSON artifact).
     parser = make_arg_parser(__doc__.splitlines()[0])
@@ -83,7 +83,7 @@ def main(argv=None):
     for system in args.systems:
         profile_system(
             system, scale, args.sort, args.top,
-            seed=args.seed, backend=args.backend, jobs=args.jobs,
+            seed=args.seed, jobs=args.jobs,
         )
     return 0
 

@@ -3,8 +3,8 @@
 Ensures the ``src`` layout package is importable even when the project has not
 been pip-installed (the benchmark/test environment is offline, so an editable
 install may not be possible), and gives every test a per-test timeout so a
-deadlocked multiprocessing test (real backend, parallel shard engine) aborts
-with a traceback instead of hanging the whole run:
+deadlocked test of the parallel shard engine's forked processes aborts with a
+traceback instead of hanging the whole run:
 
 * with the ``pytest-timeout`` plugin installed (CI), every test without an
   explicit ``@pytest.mark.timeout`` gets :data:`DEFAULT_TEST_TIMEOUT`;

@@ -98,7 +98,6 @@ def make_parameter_server(
     ps_config: ParameterServerConfig,
     partitioner: Optional[KeyPartitioner] = None,
     durability: Optional[Any] = None,
-    backend: str = "sim",
     engine: str = "sim",
     jobs: int = 1,
     trace: Optional[Any] = None,
@@ -115,13 +114,6 @@ def make_parameter_server(
     per-op spans, latency histograms, counter time series, and Perfetto
     export via ``ps.tracer`` — observation only, so traced runs stay
     bit-identical; ``None`` leaves the fast path untouched.
-
-    ``backend`` selects the execution substrate: ``"sim"`` (default) runs on
-    the discrete-event simulator, ``"real"`` on actual processes with
-    shared-memory parameter shards (:class:`repro.backend.RealParameterServer`
-    — classic, classic_fast_local, and lapse only).  The real backend returns
-    an object satisfying the same client/metrics API; call ``shutdown()`` on
-    it (or use it as a context manager) to release the shared memory.
 
     ``engine`` selects the simulator's event engine: ``"sim"`` (default) is
     the sequential kernel, ``"parallel"`` shards the nodes across ``jobs``
@@ -141,31 +133,6 @@ def make_parameter_server(
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         engine = "parallel"
-    if engine == "parallel" and backend == "real":
-        raise ExperimentError(
-            "engine='parallel' applies to the simulator; the real backend "
-            "has its own process-level parallelism"
-        )
-    if backend == "real":
-        from repro.backend import REAL_BACKEND_SYSTEMS, RealParameterServer
-
-        if system not in REAL_BACKEND_SYSTEMS:
-            raise ExperimentError(
-                f"system {system!r} is not available on the real backend; "
-                f"choose one of {', '.join(REAL_BACKEND_SYSTEMS)}"
-            )
-        if partitioner is not None:
-            raise ExperimentError(
-                "the real backend does not support custom partitioners "
-                "(elastic clusters run on the simulator)"
-            )
-        if durability is not None:
-            raise ExperimentError(
-                "the real backend does not support the durability subsystem"
-            )
-        return RealParameterServer(system, cluster, ps_config, trace=trace)
-    if backend != "sim":
-        raise ExperimentError(f"unknown backend {backend!r}; choose 'sim' or 'real'")
     ps = _make_sim_ps(system, cluster, ps_config, partitioner, durability, trace)
     if jobs > 1:
         ps.jobs = jobs
@@ -228,9 +195,6 @@ class TaskRunResult:
     metrics: Optional[PSMetrics]
     remote_messages: int
     bytes_sent: int
-    #: Execution substrate the run used: "sim" (epoch durations are simulated
-    #: time) or "real" (epoch durations are wall-clock time).
-    backend: str = "sim"
     #: Shard count of the parallel simulation engine (1 = sequential kernel).
     jobs: int = 1
     #: Why the parallel engine refused to shard the run (``None`` when it ran
@@ -244,7 +208,7 @@ class TaskRunResult:
 
     @property
     def epoch_duration(self) -> float:
-        """Mean epoch run time (simulated or wall seconds, per ``backend``)."""
+        """Mean epoch run time in simulated seconds."""
         return sum(epoch.duration for epoch in self.epochs) / len(self.epochs)
 
     @property
@@ -330,16 +294,13 @@ def run_mf_experiment(
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
     durability: Optional[Any] = None,
-    backend: str = "sim",
     jobs: int = 1,
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run DSGD matrix factorization (Figures 6 and 9).
 
-    With ``backend="real"`` the same workload executes on actual worker
-    processes (classic, classic_fast_local, lapse) and epoch durations are
-    wall-clock seconds.  ``trace`` installs the tracing subsystem (ignored by
-    the handle-free ``lowlevel`` baseline).
+    ``trace`` installs the tracing subsystem (ignored by the handle-free
+    ``lowlevel`` baseline).
     """
     scale = scale or MFScale()
     matrix = generate_matrix(
@@ -349,8 +310,6 @@ def run_mf_experiment(
     mf_config = MatrixFactorizationConfig(
         rank=scale.rank, compute_time_per_entry=scale.compute_time_per_entry
     )
-    if system == "lowlevel" and backend != "sim":
-        raise ExperimentError("the low-level baseline only runs on the simulator")
     if system == "lowlevel":
         baseline = LowLevelDSGD(
             cluster,
@@ -377,31 +336,25 @@ def run_mf_experiment(
         cluster,
         ps_config,
         durability=durability,
-        backend=backend,
         jobs=jobs,
         trace=trace,
     )
-    try:
-        trainer = MatrixFactorizationTrainer(ps, matrix, mf_config, seed=seed)
-        epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
-        return TaskRunResult(
-            task="matrix_factorization",
-            system=system,
-            num_nodes=num_nodes,
-            workers_per_node=workers_per_node,
-            epochs=epoch_results,
-            metrics=ps.metrics(),
-            remote_messages=ps.network.stats.remote_messages,
-            bytes_sent=ps.network.stats.bytes_sent,
-            backend=backend,
-            jobs=jobs,
-            parallel_fallback_reason=getattr(ps, "_last_fallback_reason", None),
-            effective_jobs=getattr(ps, "_last_effective_jobs", 1),
-            tracer=ps.tracer,
-        )
-    finally:
-        if backend == "real":
-            ps.shutdown()
+    trainer = MatrixFactorizationTrainer(ps, matrix, mf_config, seed=seed)
+    epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
+    return TaskRunResult(
+        task="matrix_factorization",
+        system=system,
+        num_nodes=num_nodes,
+        workers_per_node=workers_per_node,
+        epochs=epoch_results,
+        metrics=ps.metrics(),
+        remote_messages=ps.network.stats.remote_messages,
+        bytes_sent=ps.network.stats.bytes_sent,
+        jobs=jobs,
+        parallel_fallback_reason=getattr(ps, "_last_fallback_reason", None),
+        effective_jobs=getattr(ps, "_last_effective_jobs", 1),
+        tracer=ps.tracer,
+    )
 
 
 def run_kge_experiment(
@@ -415,16 +368,10 @@ def run_kge_experiment(
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
     durability: Optional[Any] = None,
-    backend: str = "sim",
     jobs: int = 1,
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run knowledge-graph-embedding training (Figures 1 and 7, Table 5)."""
-    if backend != "sim":
-        raise ExperimentError(
-            "the KGE task only runs on the simulator (backend='sim'); the "
-            "real backend currently supports matrix factorization"
-        )
     scale = scale or KGEScale()
     graph = generate_knowledge_graph(
         num_entities=scale.num_entities,
@@ -579,16 +526,10 @@ def run_w2v_experiment(
     compute_error: bool = False,
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
-    backend: str = "sim",
     jobs: int = 1,
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run skip-gram word-vector training (Figure 8)."""
-    if backend != "sim":
-        raise ExperimentError(
-            "the word2vec task only runs on the simulator (backend='sim'); "
-            "the real backend currently supports matrix factorization"
-        )
     scale = scale or W2VScale()
     corpus = generate_corpus(
         vocabulary_size=scale.vocabulary_size,

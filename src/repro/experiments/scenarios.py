@@ -42,7 +42,6 @@ def _result_rows(results: Iterable[TaskRunResult]) -> List[Dict[str, object]]:
             {
                 "task": result.task,
                 "system": result.system,
-                "backend": result.backend,
                 "parallelism": result.parallelism,
                 "epoch_time_s": result.epoch_duration,
                 "loss": result.final_loss if result.final_loss is not None else "",
@@ -63,13 +62,8 @@ def matrix_factorization_scenario(
     compute_loss: bool = False,
     seed: int = 0,
     workers_per_node: int = 4,
-    backend: str = "sim",
 ) -> List[Dict[str, object]]:
-    """Sweep for the matrix-factorization figures (Figures 6 and 9).
-
-    ``backend="real"`` runs the sweep on actual worker processes (classic,
-    classic_fast_local, lapse); epoch times are then wall-clock seconds.
-    """
+    """Sweep for the matrix-factorization figures (Figures 6 and 9)."""
     if not systems:
         raise ExperimentError("at least one system is required")
     results = []
@@ -84,7 +78,6 @@ def matrix_factorization_scenario(
                     epochs=epochs,
                     compute_loss=compute_loss,
                     seed=seed,
-                    backend=backend,
                 )
             )
     return _result_rows(results)

@@ -275,10 +275,10 @@ class MatrixFactorizationTrainer:
                 if wake is not None:
                     yield wake
             yield from subepoch_synchronization(client)
-        # Return this worker's row-factor slice.  On the simulated backend
+        # Return this worker's row-factor slice.  On the sequential engine
         # these rows were updated in place and the writeback in run_epoch is
-        # a no-op self-assignment; on the real backend the worker process
-        # updated a forked copy, and the returned slice carries the rows home.
+        # a no-op self-assignment; on the parallel engine a forked shard
+        # updated its own copy, and the returned slice carries the rows home.
         num_workers = schedule.num_workers
         rows_per_worker = int(np.ceil(matrix.num_rows / num_workers))
         low = min(participant * rows_per_worker, matrix.num_rows)

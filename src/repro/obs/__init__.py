@@ -13,9 +13,8 @@ Opt-in, zero-overhead-when-off observability for every execution mode:
   timeline; ``python -m repro.obs.report trace.json`` summarizes it,
 * traced runs are **bit-identical** to untraced runs (the hooks observe
   already-computed times; no kernel events, no RNG draws), on the
-  sequential engine, the ``jobs=N`` parallel engine (shard buffers merge
-  over the existing result payloads), and — with wall-clock spans — the
-  real multiprocessing backend.
+  sequential engine and the ``jobs=N`` parallel engine (shard buffers merge
+  over the existing result payloads).
 
 See docs/architecture.md, "Observability".
 """

@@ -152,49 +152,6 @@ class NodeTrace:
         periods = int(at / interval) + 1
         self.next_sample = periods * interval
 
-    # ------------------------------------------------------------- merging
-    def reset(self) -> None:
-        """Clear every buffer.
-
-        The real backend's forked worker processes inherit the parent's
-        buffer contents; they reset on startup so each child reports only
-        its own deltas back to the parent.
-        """
-        self.ops = []
-        self.server = []
-        self.net = []
-        self.reloc = []
-        self.markers = []
-        self.samples = []
-        self.hist = {}
-        self.heat = {}
-        self.dropped = 0
-
-    def merge_from(self, other: "NodeTrace") -> None:
-        """Fold another buffer's records into this one.
-
-        Used by the real backend's parent process to absorb the deltas each
-        worker process reports on exit (the simulated parallel engine ships
-        whole buffers inside its shard payloads instead and never calls this).
-        """
-        self.ops.extend(other.ops)
-        self.server.extend(other.server)
-        self.net.extend(other.net)
-        self.reloc.extend(other.reloc)
-        self.markers.extend(other.markers)
-        self.samples.extend(other.samples)
-        self.dropped += other.dropped
-        for op_type, hist in other.hist.items():
-            mine = self.hist.get(op_type)
-            self.hist[op_type] = hist if mine is None else mine.merge(hist)
-        for key, per_key in other.heat.items():
-            mine_heat = self.heat.get(key)
-            if mine_heat is None:
-                self.heat[key] = dict(per_key)
-            else:
-                for bucket, count in per_key.items():
-                    mine_heat[bucket] = mine_heat.get(bucket, 0) + count
-
     # ------------------------------------------------------------ summaries
     def span_count(self) -> int:
         """Total spans held in this buffer (markers and samples included)."""
@@ -261,13 +218,10 @@ class Tracer:
     ``durability=`` pattern); reachable as ``ps.tracer``.
     """
 
-    #: ``"sim"`` (timestamps are simulated seconds) or ``"wall"`` (the real
-    #: backend records wall-clock seconds since server creation).
+    #: Timestamps are simulated seconds (exported as ``repro.time_domain``).
     time_domain = "sim"
 
-    def __init__(
-        self, ps: "ParameterServer", config: TraceConfig, time_domain: str = "sim"
-    ) -> None:
+    def __init__(self, ps: "ParameterServer", config: TraceConfig) -> None:
         probe = PSMetrics()
         for name in config.sampled_counters:
             value = getattr(probe, name, None)
@@ -278,10 +232,9 @@ class Tracer:
                 )
         self.ps = ps
         self.config = config
-        self.time_domain = time_domain
         for state in ps.states:
             state.trace = NodeTrace(state.node_id, config)
-        if config.network and time_domain == "sim":
+        if config.network:
             ps.network._tracer = self
 
     # ----------------------------------------------------------- hook points

@@ -39,7 +39,7 @@ _KNOWN_PHASES = ("X", "i", "C", "M")
 
 
 def _us(seconds: float) -> float:
-    """Seconds (simulated or wall) to trace-event microseconds."""
+    """Simulated seconds to trace-event microseconds."""
     return seconds * 1e6
 
 

@@ -23,11 +23,13 @@ and the per-key routing decisions live in the pluggable
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Generator,
     Hashable,
@@ -135,10 +137,33 @@ def _run_action(action: Callable[[], None]) -> None:
     action()
 
 
-def _run_handler(arg: Tuple[Callable, "NodeState", Any]) -> None:
-    """Kernel-callback shim: run a scheduled server message handler."""
-    handler, state, message = arg
+def _run_handler(state: "NodeState") -> None:
+    """Kernel-callback shim: run the server handler at the head of the queue,
+    then start the next queued message."""
+    queue = state.server_queue
+    handler, message, _ = queue[0]
     handler(state, message)
+    queue.popleft()
+    if queue:
+        _next_handler(state)
+
+
+def _next_handler(state: "NodeState") -> None:
+    """Start the head server message one ring hop from now.
+
+    The hop is the reference loop's getter event; it is skipped when it
+    would be the very next event anyway (:meth:`Simulator.quiet_instant`).
+    """
+    sim = state.ps.sim
+    if sim.quiet_instant():
+        _start_handler(state)
+    else:
+        sim.call_later(0.0, _start_handler, state)
+
+
+def _start_handler(state: "NodeState") -> None:
+    """Kernel-callback shim: charge the head server message's processing cost."""
+    state.ps.sim.call_later(state.server_queue[0][2], _run_handler, state)
 
 
 def van_address(node: int) -> Tuple[str, int]:
@@ -162,6 +187,12 @@ class NodeState:
         #: Event-driven server bookkeeping: simulated time until which the
         #: server thread is busy handling already-arrived messages.
         self.server_busy_until = 0.0
+        #: ``(handler, message, cost)`` of the server messages not handled
+        #: yet, in arrival order; the head's handler is scheduled.
+        self.server_queue: Deque[Tuple[Callable, Any, float]] = deque()
+        #: Responses the event-driven van has not handled yet, in arrival
+        #: order; the head's handling is scheduled.
+        self.van_queue: Deque[Any] = deque()
         self.metrics = PSMetrics()
         self.latches = LatchTable(ps.ps_config.num_latches)
         #: Parameters currently owned by this node.
@@ -855,13 +886,10 @@ class ParameterServer:
             inbox = self.network.register(address, state.node_id)
             self._van_inboxes.append(inbox)
             if fastpath:
-                # The van charges no processing cost and reacts immediately,
-                # so its handler can run directly at the delivery instant —
-                # the moment the van process would have been resumed — saving
-                # the mailbox/process round trip per response.
-                self.network.attach_sink(
-                    address, partial(self._handle_van_message, state)
-                )
+                # The van charges no processing cost, so its loop reduces to
+                # one ring hop per response, saving the mailbox/process round
+                # trip per response.
+                self.network.attach_sink(address, partial(self._van_receive, state))
             else:
                 self.sim.process(
                     self._van_loop(state, inbox), name=f"van-{state.node_id}"
@@ -1073,13 +1101,18 @@ class ParameterServer:
             handler(state, message)
 
     def _server_receive(self, state: NodeState, dispatch: Dict, message: Any) -> None:
-        """Event-driven server thread: one scheduled handler call per message.
+        """Event-driven server thread: the reference loop without its process.
 
         The generator loop's timing collapses to a closed form — a message
         arriving at ``a`` is handled at ``max(a, busy_until) + cost`` with
-        FIFO order preserved (``busy_until`` is monotonic) — so the handler
-        is scheduled directly at that instant, skipping the mailbox, the
-        getter event, and two generator resumes per message.
+        FIFO order preserved (``busy_until`` is monotonic).  The messages
+        wait in ``server_queue``; the head's handler is scheduled one ring
+        hop after it reaches the head — on arrival at an idle server, or
+        when the previous handler has run — which is when the reference
+        loop's getter event fires and it draws the kernel sequence number
+        that orders same-instant events.  This skips the mailbox and two
+        generator resumes per message, and the hop itself whenever it would
+        be the next event anyway.
         """
         entry = dispatch.get(type(message))
         if entry is None:
@@ -1100,7 +1133,10 @@ class ParameterServer:
             trace.server_span(
                 type(message).__name__, now, start, handle_at, state.metrics
             )
-        sim.call_later(handle_at - now, _run_handler, (handler, state, message))
+        queue = state.server_queue
+        queue.append((handler, message, cost))
+        if len(queue) == 1:
+            _next_handler(state)
 
     # --------------------------------------------- shared server-side replies
     def _respond_pull(
@@ -1138,6 +1174,30 @@ class ParameterServer:
         while True:
             message = yield inbox.get()
             self._handle_van_message(state, message)
+
+    def _van_receive(self, state: NodeState, message: Any) -> None:
+        """Event-driven van: handle a response one ring hop after it reaches
+        the head of ``van_queue`` (see :meth:`_server_receive`)."""
+        queue = state.van_queue
+        queue.append(message)
+        if len(queue) == 1:
+            if self.sim.quiet_instant():
+                self._van_step(state)
+            else:
+                self.sim.call_later(0.0, self._van_step, state)
+
+    def _van_step(self, state: NodeState) -> None:
+        """Handle queued responses while each next hop would run at once."""
+        queue = state.van_queue
+        sim = self.sim
+        while True:
+            self._handle_van_message(state, queue[0])
+            queue.popleft()
+            if not queue:
+                return
+            if not sim.quiet_instant():
+                sim.call_later(0.0, self._van_step, state)
+                return
 
     def _handle_van_message(self, state: NodeState, message: Any) -> None:
         if isinstance(message, PullResponse):

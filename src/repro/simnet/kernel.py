@@ -308,6 +308,20 @@ class Simulator:
             return None
         return self._queue[0][0]
 
+    def quiet_instant(self) -> bool:
+        """Whether no other event is due at the current instant.
+
+        Called from inside an event: when it holds, a zero-delay event
+        scheduled now would be the very next one processed, so its action
+        may run inline with the same effect on the event order.  Always
+        ``False`` in shard mode, where the local heap cannot see other
+        shards' same-instant events.
+        """
+        if self._ring or self._shard_rank is not None:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] > self._now
+
     # ------------------------------------------------------------------ events
     def event(self) -> Event:
         """Create a new untriggered :class:`Event`."""

@@ -169,6 +169,10 @@ class Network:
         """
         self._shard_ranks = node_ranks
         self._shard_rank = rank
+        # No coalescing in a shard: a cross-shard delivery to the same
+        # address and instant, sent between two local ones, arrives only at
+        # a window boundary and could not be slotted into their batch.
+        self._coalesce = False
         self.node_load = {}
 
     def take_shard_outbox(self) -> List[Tuple[float, Tuple, int, Hashable, Any]]:

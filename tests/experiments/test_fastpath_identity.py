@@ -81,11 +81,21 @@ def test_kge_bit_identical(system, monkeypatch):
     assert _fingerprint(fast) == _fingerprint(reference)
 
 
-@pytest.mark.parametrize("system", SYSTEMS)
-def test_w2v_bit_identical(system, monkeypatch):
+#: Every system at the small scale, plus default-scale 4x2 runs with
+#: same-instant server and van events, which the fast path must order as the
+#: reference engine does.
+W2V_CASES = [pytest.param(system, 2, W2V, 0, id=system) for system in SYSTEMS] + [
+    pytest.param(system, 4, None, seed, id=f"{system}-4x2-seed{seed}")
+    for system, seed in (("lapse", 0), ("hybrid", 0), ("stale_ssp", 4))
+]
+
+
+@pytest.mark.parametrize("system, num_nodes, scale, seed", W2V_CASES)
+def test_w2v_bit_identical(system, num_nodes, scale, seed, monkeypatch):
     def run():
         return run_w2v_experiment(
-            system, num_nodes=2, workers_per_node=2, scale=W2V, epochs=1
+            system, num_nodes=num_nodes, workers_per_node=2, scale=scale,
+            epochs=1, seed=seed,
         )
 
     fast, reference = _run_both(monkeypatch, run)

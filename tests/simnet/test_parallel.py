@@ -154,10 +154,6 @@ def test_make_parameter_server_rejects_invalid_engine_combinations():
         make_parameter_server("lapse", cluster, config, engine="bogus")
     with pytest.raises(ExperimentError):
         make_parameter_server("lapse", cluster, config, jobs=0)
-    with pytest.raises(ExperimentError):
-        make_parameter_server(
-            "lapse", cluster, config, backend="real", engine="parallel"
-        )
 
 
 def test_jobs_flow_into_the_simulator():
